@@ -13,10 +13,23 @@ export PYTHONPATH := src
 	bench-updates bench-updates-smoke bench-shard \
 	bench-shard-smoke bench-estimation bench-estimation-smoke \
 	semantic-smoke bench-semantic bench-semantic-smoke \
-	bench-check
+	bench-check e2ebench-test bench-e2e
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The end-to-end benchmark's own tests (inputs, names, spans, checks).
+e2ebench-test:
+	$(PYTHON) -m pytest e2ebench/tests -q
+
+# One untraced end-to-end run per workload; each prints its metrics
+# and the correctness verdict on stdout and writes no record file.
+E2E_WORKLOADS := offline serve-cold fleet-hot
+bench-e2e:
+	for workload in $(E2E_WORKLOADS); do \
+		python3 e2ebench/run.py --workload $$workload --seed 1 \
+			--seconds 8 --trace 0 || exit 1; \
+	done
 
 test-tier2:
 	$(PYTHON) -m pytest -q -m tier2 tests/perf tests/parallel

@@ -88,15 +88,16 @@ class CSRGraph:
 
         The trusted zero-copy constructor used by
         :mod:`repro.parallel.shm` (worker processes attaching a
-        published graph) and by :func:`repro.graph.io.load_npz` in
-        mmap mode.  The arrays must come from an existing
-        :class:`CSRGraph` — sorted indices, no duplicates, no explicit
-        zeros, non-negative finite float64 data — because none of the
-        ``__init__`` canonicalisation runs here.  Crucially the arrays
-        are *not* written to (they may live in read-only shared-memory
-        segments or memory-mapped files); the adjacency is flagged
-        canonical so downstream scipy code never attempts an in-place
-        ``sum_duplicates``/``sort_indices`` pass.
+        published graph), by :func:`repro.graph.io.load_npz` in
+        mmap mode and by :func:`repro.updates.delta.apply_delta` (a
+        row splice of an existing graph).  The arrays must come from
+        an existing :class:`CSRGraph` — sorted indices, no duplicates,
+        no explicit zeros, non-negative finite float64 data — because
+        none of the ``__init__`` canonicalisation runs here.  Crucially
+        the arrays are *not* written to (they may live in read-only
+        shared-memory segments or memory-mapped files); the adjacency
+        is flagged canonical so downstream scipy code never attempts an
+        in-place ``sum_duplicates``/``sort_indices`` pass.
         """
         matrix = sparse.csr_matrix(
             (data, indices, indptr),

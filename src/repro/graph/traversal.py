@@ -73,23 +73,51 @@ def bfs_order(
     return np.asarray(order, dtype=np.int64)
 
 
+def _bfs_levels(
+    graph: CSRGraph,
+    seeds: int | Iterable[int],
+    max_depth: int | None = None,
+) -> list[np.ndarray]:
+    """Level-synchronous BFS: the sorted node ids at each depth.
+
+    ``levels[d]`` holds every node whose shortest out-link distance
+    from the seed set is exactly ``d`` (``levels[0]`` is the seeds).
+    The search stops after ``max_depth`` levels (``None``: when the
+    frontier empties), so its cost is the edges leaving the first
+    ``max_depth`` levels, never the whole reachable graph.  Each level
+    gathers the frontier's CSR rows in one vectorised step, masks
+    already-seen nodes and takes ``np.unique``.
+    """
+    seed_array = _as_seed_array(graph, seeds)
+    adj = graph.adjacency
+    indptr, indices = adj.indptr, adj.indices
+    seen = np.zeros(graph.num_nodes, dtype=bool)
+    seen[seed_array] = True
+    levels = [seed_array]
+    frontier = seed_array
+    while max_depth is None or len(levels) <= max_depth:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        neighbors = indices[
+            np.repeat(starts - offsets, counts)
+            + np.arange(int(counts.sum()))
+        ]
+        frontier = np.unique(neighbors[~seen[neighbors]]).astype(np.int64)
+        if frontier.size == 0:
+            break
+        seen[frontier] = True
+        levels.append(frontier)
+    return levels
+
+
 def bfs_tree_depths(
     graph: CSRGraph, seeds: int | Iterable[int]
 ) -> np.ndarray:
     """Depth of every node in a BFS from ``seeds`` (-1 when unreachable)."""
-    seed_array = _as_seed_array(graph, seeds)
     depths = np.full(graph.num_nodes, -1, dtype=np.int64)
-    queue: deque[int] = deque()
-    for seed in seed_array:
-        depths[seed] = 0
-        queue.append(int(seed))
-    while queue:
-        node = queue.popleft()
-        next_depth = depths[node] + 1
-        for neighbor in graph.out_neighbors(node):
-            if depths[neighbor] == -1:
-                depths[neighbor] = next_depth
-                queue.append(int(neighbor))
+    for depth, level in enumerate(_bfs_levels(graph, seeds)):
+        depths[level] = depth
     return depths
 
 
@@ -104,19 +132,18 @@ def bfs_within_depth(
     ("crawling to all pages within three links" of a dmoz category).
 
     Returns a sorted array that always includes the seeds
-    (``max_depth`` 0 returns exactly the seeds).
+    (``max_depth`` 0 returns exactly the seeds).  The search stops at
+    the hop bound, so it touches only the edges leaving the first
+    ``max_depth`` levels.
     """
     if max_depth < 0:
         raise GraphError(f"max_depth must be >= 0, got {max_depth}")
-    depths = bfs_tree_depths(graph, seeds)
-    selected = np.flatnonzero((depths >= 0) & (depths <= max_depth))
-    return selected.astype(np.int64)
+    return np.sort(np.concatenate(_bfs_levels(graph, seeds, max_depth)))
 
 
 def reachable_set(graph: CSRGraph, seeds: int | Iterable[int]) -> np.ndarray:
     """All nodes reachable from ``seeds`` by out-links (sorted ids)."""
-    depths = bfs_tree_depths(graph, seeds)
-    return np.flatnonzero(depths >= 0).astype(np.int64)
+    return np.sort(np.concatenate(_bfs_levels(graph, seeds)))
 
 
 def weakly_connected_components(graph: CSRGraph) -> list[np.ndarray]:

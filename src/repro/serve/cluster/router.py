@@ -82,7 +82,6 @@ from repro.serve.cluster.http import http_request
 from repro.serve.cluster.manager import ShardManager
 from repro.serve.server import (
     _JSON,
-    _QUERY_PSEUDO_HEADER,
     _TEXT,
     BackgroundServer,
     DEADLINE_HEADER,
@@ -428,6 +427,7 @@ class ShardRouter(RankingServer):
         path: str,
         body: bytes,
         headers: dict[str, str] | None = None,
+        query: str = "",
     ):
         headers = headers or {}
         try:
@@ -443,7 +443,9 @@ class ShardRouter(RankingServer):
             if path in ("/rank", "/search", "/semantic-search"):
                 if method != "POST":
                     return 405, {"error": "use POST"}, _JSON
-                return await self._forward_ranked(path, body, headers)
+                return await self._forward_ranked(
+                    path, body, headers, query
+                )
             if path == "/update":
                 if method != "POST":
                     return 405, {"error": "use POST"}, _JSON
@@ -493,7 +495,7 @@ class ShardRouter(RankingServer):
         return float(damping)
 
     async def _forward_ranked(
-        self, path: str, body: bytes, headers: dict[str, str]
+        self, path: str, body: bytes, headers: dict[str, str], query: str
     ):
         if self._inflight >= self._max_inflight:
             self._count_outcome(path, "shed")
@@ -504,7 +506,7 @@ class ShardRouter(RankingServer):
         self._inflight += 1
         started = time.perf_counter()
         try:
-            return await self._forward_inner(path, body, headers)
+            return await self._forward_inner(path, body, headers, query)
         finally:
             self._inflight -= 1
             self._registry.histogram(
@@ -516,14 +518,13 @@ class ShardRouter(RankingServer):
             ).observe(time.perf_counter() - started)
 
     async def _forward_inner(
-        self, path: str, body: bytes, headers: dict[str, str]
+        self, path: str, body: bytes, headers: dict[str, str], query: str
     ):
         request = self._parse_json(body)
         damping = self._resolve_damping(request.get("damping"))
-        # The connection handler strips the query string into a
-        # pseudo-header; put it back on the forwarded target or the
-        # replica never sees ?estimator= (and friends).
-        query = headers.get(_QUERY_PSEUDO_HEADER, "")
+        # The connection handler splits the query string off the
+        # target; put it back on the forwarded one or the replica
+        # never sees ?estimator= (and friends).
         forward_path = path + "?" + query if query else path
         if path == "/semantic-search":
             # No node set in the body — the replica derives G_l from

@@ -131,6 +131,7 @@ class ShardServer(RankingServer):
         path: str,
         body: bytes,
         headers: dict[str, str] | None = None,
+        query: str = "",
     ):
         if path in ("/rank", "/search"):
             # Injection sites: each ranked request is one opportunity
@@ -154,7 +155,7 @@ class ShardServer(RankingServer):
                 }, _JSON
         elif path == "/update":
             return await self._handle_update(method, body)
-        return await super()._route(method, path, body, headers)
+        return await super()._route(method, path, body, headers, query)
 
     async def _handle_update(self, method: str, body: bytes):
         if method != "POST":

@@ -38,6 +38,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import re
 import threading
 import time
 import urllib.parse
@@ -112,16 +113,14 @@ log = logging.getLogger(__name__)
 #: subgraph fits comfortably; anything bigger is abuse).
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: A ``Content-Length`` value as RFC 9110 allows it: decimal digits
+#: only (``int()`` alone would also take signs, blanks and ``_``).
+_DIGITS = re.compile(r"[0-9]+")
+
 #: Deadline-propagation header: seconds of budget remaining at send
 #: time.  A hop that cannot finish inside it drops the work (503)
 #: instead of burning solver time on an answer nobody is waiting for.
 DEADLINE_HEADER = "X-Repro-Deadline"
-
-#: Internal pseudo-header carrying the raw request query string from
-#: the connection handler into ``_route`` — the cluster subclasses
-#: override ``_route`` with a fixed signature, so the query rides in
-#: the headers dict rather than a new parameter.
-_QUERY_PSEUDO_HEADER = "x-repro-query"
 
 _JSON = {"Content-Type": "application/json"}
 _TEXT = {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"}
@@ -1037,10 +1036,7 @@ class RankingServer:
                 request_line.decode("latin-1").strip().split(" ", 2)
             )
         except ValueError:
-            await self._respond(
-                writer, 400, {"error": "malformed request line"},
-                endpoint="unknown", keep_alive=False,
-            )
+            await self._reject(writer, "malformed request line")
             return False
 
         headers: dict[str, str] = {}
@@ -1051,12 +1047,17 @@ class RankingServer:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
 
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY_BYTES:
-            await self._respond(
-                writer, 400, {"error": "request body too large"},
-                endpoint="unknown", keep_alive=False,
+        raw_length = headers.get("content-length", "0")
+        if not _DIGITS.fullmatch(raw_length):
+            # Framing is lost: the body's extent is unknown, so the
+            # connection cannot carry another request.
+            await self._reject(
+                writer, f"malformed Content-Length {raw_length!r}"
             )
+            return False
+        length = int(raw_length)
+        if length > _MAX_BODY_BYTES:
+            await self._reject(writer, "request body too large")
             return False
         body = await reader.readexactly(length) if length else b""
 
@@ -1068,19 +1069,12 @@ class RankingServer:
 
         started = time.perf_counter()
         path, _, query = target.partition("?")
-        if query:
-            headers[_QUERY_PSEUDO_HEADER] = query
         status, payload, content_type = await self._route(
-            method, path, body, headers
+            method, path, body, headers, query
         )
         endpoint = path if path in self.ENDPOINTS else "unknown"
         elapsed = time.perf_counter() - started
-        self._registry.counter(
-            "repro_serve_requests_total",
-            "HTTP requests served, by endpoint and status.",
-            endpoint=endpoint,
-            status=str(status),
-        ).inc()
+        self._count_request(endpoint, status)
         self._registry.histogram(
             "repro_serve_request_seconds",
             "End-to-end request handling latency.",
@@ -1095,14 +1089,37 @@ class RankingServer:
         )
         return keep_alive
 
+    def _count_request(self, endpoint: str, status: int) -> None:
+        self._registry.counter(
+            "repro_serve_requests_total",
+            "HTTP requests served, by endpoint and status.",
+            endpoint=endpoint,
+            status=str(status),
+        ).inc()
+
+    async def _reject(
+        self, writer: asyncio.StreamWriter, error: str
+    ) -> None:
+        """Answer an unparseable request 400 and close the connection."""
+        self._count_request("unknown", 400)
+        await self._respond(
+            writer, 400, {"error": error},
+            endpoint="unknown", keep_alive=False,
+        )
+
     async def _route(
         self,
         method: str,
         path: str,
         body: bytes,
         headers: dict[str, str] | None = None,
+        query: str = "",
     ) -> tuple[int, Any, dict]:
-        """Dispatch one request; returns (status, payload, headers)."""
+        """Dispatch one request; returns (status, payload, headers).
+
+        ``query`` is the raw query string of the request target (the
+        part after ``?``); it never comes from a header.
+        """
         headers = headers or {}
         try:
             if path == "/healthz":
@@ -1120,7 +1137,7 @@ class RankingServer:
                 request = self._parse_json(body)
                 # The opt-in estimator: `/rank?estimator=push:r_max=1e-3`
                 # (query form wins) or an "estimator" body field.
-                estimator = self._query_param(headers, "estimator")
+                estimator = self._query_param(query, "estimator")
                 if estimator is None:
                     estimator = request.get("estimator")
                 outcome = await self.service.rank_with_meta(
@@ -1151,7 +1168,7 @@ class RankingServer:
                 terms = self._require_terms(request)
                 # Same estimator plumbing as /rank: the query form
                 # wins over the body field, bogus specs are 400s.
-                estimator = self._query_param(headers, "estimator")
+                estimator = self._query_param(query, "estimator")
                 if estimator is None:
                     estimator = request.get("estimator")
                 hits, outcome = await self.service.search(
@@ -1181,7 +1198,7 @@ class RankingServer:
                     return 405, {"error": "use POST"}, _JSON
                 request = self._parse_json(body)
                 terms = self._require_terms(request)
-                estimator = self._query_param(headers, "estimator")
+                estimator = self._query_param(query, "estimator")
                 if estimator is None:
                     estimator = request.get("estimator")
                 answer, outcome = await self.service.semantic_search(
@@ -1255,15 +1272,12 @@ class RankingServer:
         return min(float(body_deadline), header_deadline)
 
     @staticmethod
-    def _query_param(
-        headers: dict[str, str], name: str
-    ) -> str | None:
-        """One query-string parameter, from the pseudo-header.
+    def _query_param(query: str, name: str) -> str | None:
+        """One parameter of a raw query string.
 
         Splits on ``&`` and the *first* ``=`` only, so estimator specs
         — which embed ``=`` and ``,`` in their value — survive intact.
         """
-        query = headers.get(_QUERY_PSEUDO_HEADER, "")
         for part in query.split("&"):
             key, sep, value = part.partition("=")
             if sep and key == name:

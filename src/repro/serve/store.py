@@ -526,6 +526,8 @@ class ScoreStore:
         region = affected_region(old_graph, new_graph, hops, delta)
         old_n = old_graph.num_nodes
         new_n = new_graph.num_nodes
+        in_region = np.zeros(new_n, dtype=bool)
+        in_region[region] = True
         if delta is not None and not delta.is_empty:
             seeds = np.union1d(
                 delta.touched_sources(),
@@ -574,11 +576,7 @@ class ScoreStore:
                 max_charge = max(max_charge, charge)
                 self._count_staleness(charge)
                 staleness = entry.staleness + charge
-                affected = bool(
-                    np.intersect1d(
-                        nodes, region, assume_unique=True
-                    ).size
-                )
+                affected = bool(in_region[nodes].any())
                 # Estimated entries carry the same Theorem-2 charge on
                 # top of their sampling/push certificate, but the exact
                 # refresher must not recompute them (its output would

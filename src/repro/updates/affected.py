@@ -92,6 +92,13 @@ def affected_region(
     Sorted page ids (in new-graph id space).  Guaranteed non-empty for
     a non-empty update, and never the whole graph unless the update
     genuinely reaches everything.
+
+    Cost: with ``delta`` given, the expansion is a level-synchronous
+    BFS that stops after ``hops`` levels, so it touches only the edges
+    leaving pages within ``hops - 1`` steps of the touched rows —
+    O(edges within ``hops``), independent of graph size.  Without
+    ``delta`` the O(nnz) vectorised row diff of :func:`changed_pages`
+    finds the seeds first.
     """
     if hops < 0:
         raise GraphError(f"hops must be >= 0, got {hops}")

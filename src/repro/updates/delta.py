@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import CSRGraph
@@ -93,8 +92,18 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
     """Produce the post-update graph.
 
     New pages get ids following the existing ones.  Edge weights are
-    web-style (unit); adding an existing edge is a no-op, removing a
-    missing edge raises :class:`~repro.exceptions.GraphError`.
+    web-style (unit): adding an edge sets its weight to 1.0 (a no-op
+    on an existing unit edge, an overwrite on a weighted one).
+    Removals are applied first, then additions; removing a missing
+    (or already-removed) edge, a self-loop addition or an
+    out-of-range page raises :class:`~repro.exceptions.GraphError`.
+
+    Cost: O(nnz) vectorised array copies plus Python work per delta
+    edge.  Only the *touched source rows* are materialised (as dicts);
+    their old slices are masked out of ``indices``/``data``, their new
+    sorted contents are spliced back in with one ``np.insert`` per
+    array, and ``indptr`` is rebuilt from row counts — no Python loop
+    ever runs over the rest of the graph.
 
     The pre-update graph's cached transition derivations are evicted
     from the process-wide :class:`~repro.perf.cache.TransitionCache`:
@@ -103,19 +112,32 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
     ranking service holds graphs across updates) accumulate stale
     operator memory for graphs it will never solve again.
     """
-    new_size = graph.num_nodes + delta.new_pages
-    matrix = sparse.lil_matrix((new_size, new_size))
-    old = graph.adjacency.tocoo()
-    matrix[old.row, old.col] = old.data
+    old_n = graph.num_nodes
+    new_size = old_n + delta.new_pages
+    adj = graph.adjacency
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
+
+    rows: dict[int, dict[int, float]] = {}
+
+    def row(source: int) -> dict[int, float]:
+        if source not in rows:
+            if source < old_n:
+                start, stop = indptr[source], indptr[source + 1]
+                rows[source] = dict(zip(
+                    indices[start:stop].tolist(),
+                    data[start:stop].tolist(),
+                ))
+            else:
+                rows[source] = {}
+        return rows[source]
 
     for source, target in delta.removed_edges:
         _check_node(source, new_size)
         _check_node(target, new_size)
-        if matrix[source, target] == 0:
+        if row(source).pop(target, None) is None:
             raise GraphError(
                 f"cannot remove missing edge ({source}, {target})"
             )
-        matrix[source, target] = 0
     for source, target in delta.added_edges:
         _check_node(source, new_size)
         _check_node(target, new_size)
@@ -123,12 +145,46 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
             raise GraphError(
                 f"self-loop ({source}, {source}) not allowed in deltas"
             )
-        matrix[source, target] = 1.0
+        row(source)[target] = 1.0
+
+    # Each touched row's old slice leaves; its new contents go in where
+    # that slice began, less the entries already removed before it.
+    counts = np.zeros(new_size, dtype=np.int64)
+    counts[:old_n] = np.diff(indptr)
+    keep = np.ones(indices.size, dtype=bool)
+    positions: list[int] = []
+    new_targets: list[int] = []
+    new_weights: list[float] = []
+    removed_before = 0
+    for source in sorted(rows):
+        entries = sorted(rows[source].items())
+        start = stop = indices.size
+        if source < old_n:
+            start, stop = int(indptr[source]), int(indptr[source + 1])
+            keep[start:stop] = False
+        positions.extend([start - removed_before] * len(entries))
+        removed_before += stop - start
+        counts[source] = len(entries)
+        new_targets.extend(target for target, __ in entries)
+        new_weights.extend(weight for __, weight in entries)
+    new_indices = np.insert(
+        indices[keep], positions,
+        np.asarray(new_targets, dtype=indices.dtype),
+    )
+    new_data = np.insert(
+        data[keep], positions, np.asarray(new_weights, dtype=data.dtype)
+    )
+    new_indptr = np.zeros(new_size + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_indptr[1:])
 
     from repro.perf.cache import GLOBAL_TRANSITION_CACHE
 
     GLOBAL_TRANSITION_CACHE.invalidate(graph)
-    return CSRGraph(matrix.tocsr())
+    # Canonical by construction: untouched rows come from a canonical
+    # graph, touched rows are sorted dict keys with nonzero weights.
+    return CSRGraph.from_shared(
+        new_indptr, new_indices, new_data, new_size
+    )
 
 
 def _check_node(node: int, size: int) -> None:
