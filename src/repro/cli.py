@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(SINGLE_EXPERIMENTS)
         + [
             "all", "bench-kernels", "bench-parallel", "bench-serve",
-            "bench-backends", "bench-updates", "bench-shard",
+            "bench-updates", "bench-shard",
             "bench-estimation", "bench-semantic", "bench-diff",
             "obs-report", "semantic-search", "serve", "serve-cluster",
             "query",
@@ -73,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
             "kernel benchmark (BENCH_solver.json), 'bench-parallel' "
             "the multi-subgraph scaling benchmark (BENCH_parallel.json), "
             "'bench-serve' the online-service benchmark "
-            "(BENCH_serve.json), 'bench-backends' the pluggable-backend "
-            "benchmark (BENCH_backend.json), 'bench-updates' the "
+            "(BENCH_serve.json), 'bench-updates' the "
             "incremental re-ranking benchmark (BENCH_update.json), "
             "'bench-shard' the sharded-cluster benchmark "
             "(BENCH_shard.json), 'bench-estimation' the sublinear-"
@@ -103,20 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="('bench-diff' only) the NEW benchmark record",
     )
     parser.add_argument(
-        "--backend", choices=["auto", "reference", "numba"],
-        default=None,
-        help=(
-            "solver backend for every power iteration in this process "
-            "(equivalent to REPRO_BACKEND); 'auto' picks numba when "
-            "importable and falls back to the scipy reference "
-            "otherwise; scores agree within the solver tolerance"
-        ),
-    )
-    parser.add_argument(
         "--float32", action="store_true",
         help=(
-            "run solver iterations in float32 (reported scores stay "
-            "float64); faster and half the memory, accurate within the "
+            "run solver iterations in float32 (equivalent to "
+            "REPRO_DTYPE=float32; reported scores stay float64); "
+            "faster and half the memory, accurate within the "
             "documented error budget (see DESIGN.md)"
         ),
     )
@@ -583,16 +573,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.obs or args.obs_out:
         obs.enable()
 
-    if args.backend is not None or args.float32:
+    if args.float32:
         # Applies to every solve in this process: experiments, the
         # benches, and the serving tier all resolve through the
-        # process default (same effect as REPRO_BACKEND).
-        from repro.pagerank.backends import set_default_backend
+        # process default (same effect as REPRO_DTYPE=float32).
+        from repro.pagerank.precision import set_default_dtype
 
-        spec = args.backend or "auto"
-        if args.float32:
-            spec += ":float32"
-        set_default_backend(spec)
+        set_default_dtype("float32")
 
     if args.experiment == "bench-diff":
         from repro.perf.diff import (
@@ -687,22 +674,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             output_path=args.output or "BENCH_serve.json",
         )
         print(format_serve_summary(record))
-        return 0 if (not args.fast or record["gate_passed"]) else 1
-
-    if args.experiment == "bench-backends":
-        # Backend matrix benchmark (reference vs numba, float64 vs
-        # float32, thread scaling); --fast maps to smoke mode.
-        from repro.perf.backend_bench import (
-            format_backend_summary,
-            run_backend_benchmark,
-        )
-
-        record = run_backend_benchmark(
-            smoke=args.fast,
-            seed=args.seed if args.seed is not None else 2009,
-            output_path=args.output or "BENCH_backend.json",
-        )
-        print(format_backend_summary(record))
         return 0 if (not args.fast or record["gate_passed"]) else 1
 
     if args.experiment == "bench-updates":

@@ -100,7 +100,7 @@ class ExtendedLocalGraph:
         settings: PowerIterationSettings | None = None,
         teleport_override: np.ndarray | None = None,
         initial: np.ndarray | None = None,
-        backend=None,
+        dtype=None,
     ) -> "ExtendedSolveOutcome":
         """Run the random walk of Equation (1)/(6) to its fixed point.
 
@@ -121,10 +121,9 @@ class ExtendedLocalGraph:
             it.  A warm iterate close to the fixed point skips the
             burn-in sweeps a cold start needs (``warm_start`` /
             ``iterations_saved`` on the outcome record the savings).
-        backend:
-            Kernel implementation
-            (:class:`~repro.pagerank.backends.SolverBackend`, spec
-            string, or ``None`` for the process default).
+        dtype:
+            Sweep precision (``None`` = process default), as in
+            :func:`repro.pagerank.solver.power_iteration`.
         """
         teleport = (
             self.p_ideal if teleport_override is None
@@ -137,7 +136,7 @@ class ExtendedLocalGraph:
             dangling_dist=teleport,
             settings=settings,
             initial=initial,
-            backend=backend,
+            dtype=dtype,
         )
         return ExtendedSolveOutcome(
             local_scores=outcome.scores[: self.num_local],

@@ -33,7 +33,7 @@ def idealrank(
     settings: PowerIterationSettings | None = None,
     personalization: np.ndarray | None = None,
     initial: np.ndarray | None = None,
-    backend=None,
+    dtype=None,
 ) -> SubgraphScores:
     """Compute IdealRank scores for the local pages.
 
@@ -58,9 +58,9 @@ def idealrank(
         Optional length-(n+1) warm-start vector in the extended space
         (local scores then Λ); used by the incremental re-ranking
         engine to skip cold-start burn-in sweeps.
-    backend:
-        Kernel implementation forwarded to the solver (``None`` =
-        process default).
+    dtype:
+        Sweep precision forwarded to the solver (``None`` = process
+        default); the incremental re-ranking engine passes its own.
 
     Returns
     -------
@@ -76,7 +76,7 @@ def idealrank(
         graph, local, weights, mode="ideal",
         personalization=personalization,
     )
-    solve = extended.solve(settings, initial=initial, backend=backend)
+    solve = extended.solve(settings, initial=initial, dtype=dtype)
     runtime = time.perf_counter() - start
     return solve_to_subgraph_scores(
         extended, method="idealrank", total_runtime=runtime, solve=solve
@@ -91,7 +91,6 @@ def rank_with_external_weights(
     method: str = "extended-rank",
     personalization: np.ndarray | None = None,
     initial: np.ndarray | None = None,
-    backend=None,
 ) -> SubgraphScores:
     """Run the extended-graph random walk under an arbitrary E vector.
 
@@ -116,7 +115,7 @@ def rank_with_external_weights(
         graph, local_nodes, external_weights, mode="custom",
         personalization=personalization,
     )
-    solve = extended.solve(settings, initial=initial, backend=backend)
+    solve = extended.solve(settings, initial=initial)
     runtime = time.perf_counter() - start
     return solve_to_subgraph_scores(
         extended, method=method, total_runtime=runtime, solve=solve

@@ -129,7 +129,6 @@ class ApproxRankPreprocessor:
         local_nodes: Iterable[int],
         settings: PowerIterationSettings | None = None,
         initial: np.ndarray | None = None,
-        backend=None,
     ) -> SubgraphScores:
         """ApproxRank for one subgraph, reusing the global pass.
 
@@ -141,12 +140,11 @@ class ApproxRankPreprocessor:
         ``initial`` warm-starts the extended solve from a previous
         score vector (length n+1: local scores then Λ) — the serving
         layer's background refresher uses this to re-rank a stale
-        store entry in a handful of sweeps.  ``backend`` selects the
-        solver kernels (``None`` = process default).
+        store entry in a handful of sweeps.
         """
         start = time.perf_counter()
         extended = self.extended_graph(local_nodes)
-        solve = extended.solve(settings, initial=initial, backend=backend)
+        solve = extended.solve(settings, initial=initial)
         runtime = time.perf_counter() - start
         return solve_to_subgraph_scores(
             extended,

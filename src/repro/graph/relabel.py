@@ -16,11 +16,10 @@ result back through the inverse permutation yields the same scores up
 to floating-point summation order (each row's partial sums accumulate
 in a different column order).
 
-The solver backends apply this behind
-:meth:`~repro.pagerank.backends.SolverBackend.prepare`; callers never
-see relabeled ids — every public result is restored to original node
-order (see ``tests/pagerank/test_backends.py`` for the pinned
-round-trip).
+The float32 score mode applies this inside
+:func:`repro.pagerank.precision.prepare`; callers never see relabeled
+ids — every public result is restored to original node order (see
+``tests/pagerank/test_backends.py`` for the pinned round-trip).
 """
 
 from __future__ import annotations

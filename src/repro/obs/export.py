@@ -367,25 +367,15 @@ def _faults_section(metrics: Mapping) -> list[str]:
     return ["Injected faults"] + rows
 
 
-def _backend_info_line(metrics: Mapping) -> str | None:
-    """The active solver backend, read off the info gauge.
+def _dtype_info_line(metrics: Mapping) -> str | None:
+    """The process-default solver dtype, read off the info gauge.
 
-    ``repro_solver_backend_info`` carries value 1 on exactly one label
-    set (switching backends zeroes the previous set), so the first
-    sample at 1 *is* the active backend.
+    ``repro_solver_dtype_info`` carries value 1 on exactly one label
+    set (switching dtypes zeroes the previous set).
     """
-    for sample in _sample_map(metrics, "repro_solver_backend_info"):
-        if sample.get("value") != 1.0:
-            continue
-        labels = sample["labels"]
-        return (
-            "  backend {}/{} (layout {}, numba {})".format(
-                labels.get("backend", "?"),
-                labels.get("dtype", "?"),
-                labels.get("layout", "?"),
-                labels.get("numba", "?"),
-            )
-        )
+    for sample in _sample_map(metrics, "repro_solver_dtype_info"):
+        if sample.get("value") == 1.0:
+            return "  dtype {}".format(sample["labels"].get("dtype", "?"))
     return None
 
 
@@ -436,9 +426,9 @@ def _solver_section(metrics: Mapping) -> list[str]:
         )
     if len(rows) <= 2:
         return []
-    backend_line = _backend_info_line(metrics)
-    if backend_line is not None:
-        rows.insert(1, backend_line)
+    dtype_line = _dtype_info_line(metrics)
+    if dtype_line is not None:
+        rows.insert(1, dtype_line)
     return rows
 
 

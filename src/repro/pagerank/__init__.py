@@ -9,11 +9,10 @@ plus the generic solver the IdealRank/ApproxRank extended graphs reuse.
 Performance layer
 -----------------
 All solver variants run on allocation-free kernels (preallocated
-iterate/scratch buffers, in-place sparse mat-vecs) behind the
-pluggable :mod:`repro.pagerank.backends` protocol: the scipy
-``_sparsetools`` reference backend is the always-available default,
-an optional numba backend provides fused GIL-free compiled sweeps,
-and both support a float32 score mode.  Workloads that solve many
+iterate/scratch buffers, scipy ``_sparsetools`` in-place sparse
+mat-vecs) in float64 by default or in the float32 score mode of
+:mod:`repro.pagerank.precision` (``dtype=``, ``REPRO_DTYPE``,
+``--float32``).  Workloads that solve many
 walks over one matrix — per-keyword ObjectRank, damping sweeps,
 multiple extended personalisations — go through the batched
 multi-vector solver of :mod:`repro.pagerank.batched`, and transition
@@ -23,16 +22,6 @@ matrices themselves are memoized per graph by :mod:`repro.perf.cache`.
 from repro.pagerank.accelerated import (
     power_iteration_adaptive,
     power_iteration_extrapolated,
-)
-from repro.pagerank.backends import (
-    BackendUnavailableError,
-    SolverBackend,
-    available_backends,
-    backend_info,
-    get_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.pagerank.batched import (
     BatchedOutcome,
@@ -48,6 +37,11 @@ from repro.pagerank.kernels import (
 )
 from repro.pagerank.linear import solve_linear_system
 from repro.pagerank.localrank import local_pagerank
+from repro.pagerank.precision import (
+    default_dtype,
+    float32_l1_bound,
+    set_default_dtype,
+)
 from repro.pagerank.result import RankResult, SubgraphScores
 from repro.pagerank.solver import PowerIterationSettings, power_iteration
 from repro.pagerank.stability import (
@@ -62,23 +56,20 @@ from repro.pagerank.transition import (
 )
 
 __all__ = [
-    "BackendUnavailableError",
     "BatchedOutcome",
     "PowerIterationSettings",
     "PowerIterationWorkspace",
     "ResidualTrace",
     "RankResult",
-    "SolverBackend",
     "SubgraphScores",
-    "available_backends",
-    "backend_info",
     "batched_power_iteration",
     "csr_matmat_dense_into",
     "csr_matvec_into",
     "csr_transpose",
     "damping_sweep",
+    "default_dtype",
     "edge_perturbation_study",
-    "get_backend",
+    "float32_l1_bound",
     "global_pagerank",
     "local_pagerank",
     "perturbation_bound",
@@ -86,11 +77,9 @@ __all__ = [
     "power_iteration_adaptive",
     "power_iteration_extrapolated",
     "residual_trace",
-    "resolve_backend",
-    "set_default_backend",
+    "set_default_dtype",
     "solve_linear_system",
     "stack_teleports",
-    "use_backend",
     "transition_matrix",
     "transition_matrix_transpose",
 ]

@@ -20,10 +20,9 @@ Both solvers converge to the same fixed point as the plain power
 iteration (the tests assert agreement to solver tolerance) and report
 the same :class:`~repro.pagerank.solver.PowerIterationOutcome`.  Like
 the plain solver, their inner loops run on the allocation-free kernels
-of the selected :class:`~repro.pagerank.backends.SolverBackend`:
-iterate, scratch and (for the extrapolated variant) history buffers
-are preallocated once and every step is in-place arithmetic, fused or
-not depending on the backend.
+of :mod:`repro.pagerank.kernels`: iterate, scratch and (for the
+extrapolated variant) history buffers are preallocated once and every
+step is in-place arithmetic.
 """
 
 from __future__ import annotations
@@ -34,10 +33,13 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import ConvergenceError
-from repro.pagerank.backends import SolverBackend, resolve_backend
+from repro.pagerank import precision
 from repro.pagerank.kernels import (
     PowerIterationWorkspace,
+    csr_matvec_into,
+    damped_step_into,
     dangling_mass,
+    l1_residual_into,
 )
 from repro.pagerank.solver import (
     PowerIterationOutcome,
@@ -53,7 +55,7 @@ def power_iteration_extrapolated(
     dangling_dist: np.ndarray | None = None,
     settings: PowerIterationSettings | None = None,
     period: int = 10,
-    backend: "SolverBackend | str | None" = None,
+    dtype=None,
 ) -> PowerIterationOutcome:
     """Power iteration with periodic Aitken Δ² extrapolation.
 
@@ -65,9 +67,8 @@ def power_iteration_extrapolated(
         Extrapolate once every ``period`` iterations (needs three
         consecutive iterates; 10 matches the WWW'03 recommendation of
         applying extrapolation infrequently).
-    backend:
-        Kernel implementation (instance, spec string, or ``None`` for
-        the process default), as in
+    dtype:
+        Sweep precision (``None`` = process default), as in
         :func:`repro.pagerank.solver.power_iteration`.
 
     Notes
@@ -99,16 +100,17 @@ def power_iteration_extrapolated(
             np.asarray(dangling_mask, dtype=bool)
         )
 
-    backend = resolve_backend(backend)
-    prepared = backend.prepare(transition_t)
+    prepared = precision.prepare(transition_t, dtype)
     damping = settings.damping
-    base = prepared.to_backend((1.0 - damping) * teleport)
-    dangling_dist = prepared.to_backend(dangling_dist)
+    base = prepared.to_kernel((1.0 - damping) * teleport)
+    dangling_dist = prepared.to_kernel(dangling_dist)
     dangling_indices = prepared.map_indices(dangling_indices)
-    tolerance = backend.effective_tolerance(settings.tolerance, size)
+    tolerance = precision.effective_tolerance(
+        settings.tolerance, size, prepared.dtype
+    )
 
     workspace = PowerIterationWorkspace(size, dtype=prepared.dtype)
-    np.copyto(workspace.x, prepared.to_backend(teleport))
+    np.copyto(workspace.x, prepared.to_kernel(teleport))
     # Rotating three-slot history of iterates (oldest first); slots are
     # preallocated and recycled, never reallocated.
     history = [np.empty(size, dtype=prepared.dtype) for _ in range(3)]
@@ -119,7 +121,7 @@ def power_iteration_extrapolated(
     residual = np.inf
     iterations = 0
     for iterations in range(1, settings.max_iterations + 1):
-        residual = backend.step(
+        damped_step_into(
             prepared.matrix,
             workspace.x,
             workspace.x_next,
@@ -130,6 +132,9 @@ def power_iteration_extrapolated(
             scratch=workspace.scratch,
             workspace=workspace,
         )
+        residual = l1_residual_into(
+            workspace.x_next, workspace.x, workspace.scratch
+        )
         if hist_len < 3:
             np.copyto(history[hist_len], workspace.x_next)
             hist_len += 1
@@ -139,7 +144,7 @@ def power_iteration_extrapolated(
         workspace.swap()
         if residual < tolerance:
             return PowerIterationOutcome(
-                scores=prepared.from_backend(workspace.x),
+                scores=prepared.from_kernel(workspace.x),
                 iterations=iterations,
                 residual=residual,
                 converged=True,
@@ -159,7 +164,7 @@ def power_iteration_extrapolated(
             residual=residual,
         )
     return PowerIterationOutcome(
-        scores=prepared.from_backend(workspace.x),
+        scores=prepared.from_kernel(workspace.x),
         iterations=iterations,
         residual=residual,
         converged=False,
@@ -191,7 +196,7 @@ def power_iteration_adaptive(
     settings: PowerIterationSettings | None = None,
     freeze_tolerance_fraction: float = 1e-3,
     check_period: int = 8,
-    backend: "SolverBackend | str | None" = None,
+    dtype=None,
 ) -> PowerIterationOutcome:
     """Adaptive power iteration: freeze pages that stopped moving.
 
@@ -235,19 +240,20 @@ def power_iteration_adaptive(
             np.asarray(dangling_mask, dtype=bool)
         )
 
-    backend = resolve_backend(backend)
-    prepared = backend.prepare(transition_t)
+    prepared = precision.prepare(transition_t, dtype)
     damping = settings.damping
-    base = prepared.to_backend((1.0 - damping) * teleport)
-    dangling_dist = prepared.to_backend(dangling_dist)
+    base = prepared.to_kernel((1.0 - damping) * teleport)
+    dangling_dist = prepared.to_kernel(dangling_dist)
     dangling_indices = prepared.map_indices(dangling_indices)
-    tolerance = backend.effective_tolerance(settings.tolerance, size)
+    tolerance = precision.effective_tolerance(
+        settings.tolerance, size, prepared.dtype
+    )
     freeze_threshold = (
         freeze_tolerance_fraction * settings.tolerance / size
     )
 
     workspace = PowerIterationWorkspace(size, dtype=prepared.dtype)
-    np.copyto(workspace.x, prepared.to_backend(teleport))
+    np.copyto(workspace.x, prepared.to_kernel(teleport))
     x, x_next, scratch = workspace.x, workspace.x_next, workspace.scratch
     frozen = np.zeros(size, dtype=bool)
     start = time.perf_counter()
@@ -257,11 +263,9 @@ def power_iteration_adaptive(
     for iterations in range(1, settings.max_iterations + 1):
         # The plain damped step, un-normalised, so the frozen pages can
         # be pinned *before* the renormalisation (matching the original
-        # update order exactly).  The mat-vec goes through the backend
-        # (compiled or scipy); the cheap vector arithmetic around it is
-        # plain numpy either way.
+        # update order exactly).
         mass = dangling_mass(x, dangling_indices, workspace)
-        backend.matvec_into(prepared.matrix, x, x_next)
+        csr_matvec_into(prepared.matrix, x, x_next)
         x_next *= damping
         if mass:
             np.multiply(dangling_dist, damping * mass, out=scratch)
@@ -276,7 +280,7 @@ def power_iteration_adaptive(
         x, x_next = x_next, x
         if residual < tolerance:
             return PowerIterationOutcome(
-                scores=prepared.from_backend(x),
+                scores=prepared.from_kernel(x),
                 iterations=iterations,
                 residual=residual,
                 converged=True,
@@ -298,7 +302,7 @@ def power_iteration_adaptive(
             residual=residual,
         )
     return PowerIterationOutcome(
-        scores=prepared.from_backend(x),
+        scores=prepared.from_kernel(x),
         iterations=iterations,
         residual=residual,
         converged=False,

@@ -19,11 +19,10 @@ per-column results agree with K independent single solves to solver
 tolerance — including dangling-mass redistribution, which is applied
 per column from that column's own dangling distribution.
 
-The inner loop runs on the allocation-free mat-mat kernels of the
-selected :class:`~repro.pagerank.backends.SolverBackend`: the iterate
-block, the scratch block and the per-column accumulators are
-preallocated once (in the backend's dtype — the float32 mode halves
-the block traffic too).
+The inner loop runs on the allocation-free mat-mat kernels of
+:mod:`repro.pagerank.kernels`: the iterate block, the scratch block and
+the per-column accumulators are preallocated once (in the solve's
+dtype — the float32 mode halves the block traffic too).
 
 Per-column damping is supported (``dampings=``) so a damping sweep is
 one batched solve instead of a loop of full solves.
@@ -39,7 +38,11 @@ from scipy import sparse
 
 from repro.exceptions import ConvergenceError, DivergenceError
 from repro.obs import telemetry
-from repro.pagerank.backends import SolverBackend, resolve_backend
+from repro.pagerank import precision
+from repro.pagerank.kernels import (
+    csr_matmat_dense_accumulate,
+    csr_matmat_dense_into,
+)
 from repro.pagerank.solver import (
     PowerIterationOutcome,
     PowerIterationSettings,
@@ -126,7 +129,7 @@ def batched_power_iteration(
     settings: PowerIterationSettings | None = None,
     initials: np.ndarray | None = None,
     dampings: np.ndarray | None = None,
-    backend: "SolverBackend | str | None" = None,
+    dtype=None,
 ) -> BatchedOutcome:
     """Solve K damped walks over one matrix in a single iteration loop.
 
@@ -153,9 +156,8 @@ def batched_power_iteration(
         Optional length-K per-column damping factors overriding
         ``settings.damping`` (used by damping sweeps); every value must
         lie in (0, 1).
-    backend:
-        Kernel implementation (instance, spec string, or ``None`` for
-        the process default), as in
+    dtype:
+        Sweep precision (``None`` = process default), as in
         :func:`repro.pagerank.solver.power_iteration`.
 
     Returns
@@ -206,18 +208,19 @@ def batched_power_iteration(
             )
         dangling_indices = np.flatnonzero(dangling_mask)
 
-    backend = resolve_backend(backend)
-    prepared = backend.prepare(transition_t)
-    tolerance = backend.effective_tolerance(settings.tolerance, size)
-    drift_tolerance = backend.drift_tolerance()
-    # Move the blocks into the backend's domain (row permutation +
-    # dtype); on the reference/float64 backend these are no-op
-    # passthroughs of the validated float64 blocks.
-    teleports = prepared.to_backend_block(teleports)
+    prepared = precision.prepare(transition_t, dtype)
+    tolerance = precision.effective_tolerance(
+        settings.tolerance, size, prepared.dtype
+    )
+    drift_tolerance = precision.drift_tolerance(prepared.dtype)
+    # Move the blocks into the kernel domain (row permutation +
+    # dtype); at float64 these are no-op passthroughs of the validated
+    # blocks.
+    teleports = prepared.to_kernel_block(teleports)
     if dists_are_teleports:
         dangling_dists = teleports
     else:
-        dangling_dists = prepared.to_backend_block(dangling_dists)
+        dangling_dists = prepared.to_kernel_block(dangling_dists)
     dangling_indices = prepared.map_indices(dangling_indices)
 
     uniform_damping = dampings is None
@@ -244,7 +247,7 @@ def batched_power_iteration(
         if np.any(totals <= 0):
             raise ValueError("every initial column must have positive mass")
         x /= totals
-        x = prepared.to_backend_block(x)
+        x = prepared.to_kernel_block(x)
 
     x_next = np.empty_like(x)
     scratch = np.empty_like(x)
@@ -341,25 +344,25 @@ def batched_power_iteration(
                 else:
                     coef.fill(1.0 - damping)
                 if use_scatter:
-                    backend.matmat_into(propagate, x, x_next)
+                    csr_matmat_dense_into(propagate, x, x_next)
                     np.multiply(tel_nz, coef, out=seed_buf)
                     x_next[tel_rows] += seed_buf
                 else:
                     np.multiply(teleports, coef, out=x_next)
-                    backend.matmat_accumulate(propagate, x, x_next)
+                    csr_matmat_dense_accumulate(propagate, x, x_next)
             else:
                 np.copyto(x_next, base)
                 if gather is not None:
                     np.multiply(masses, damping, out=coef)
                     np.multiply(dangling_dists, coef, out=scratch)
                     x_next += scratch
-                backend.matmat_accumulate(propagate, x, x_next)
+                csr_matmat_dense_accumulate(propagate, x, x_next)
         else:
             # Per-column dampings (damping sweeps): the scale cannot be
             # folded into the matrix, so apply it as a row broadcast.
             if gather is not None:
                 masses *= damping_row
-            backend.matmat_into(propagate, x, x_next)
+            csr_matmat_dense_into(propagate, x, x_next)
             x_next *= damping_row
             if gather is not None:
                 np.multiply(dangling_dists, masses, out=scratch)
@@ -444,7 +447,7 @@ def batched_power_iteration(
                 residual_trace=residual_history,
             )
             return BatchedOutcome(
-                scores=prepared.from_backend_block(x),
+                scores=prepared.from_kernel(x),
                 iterations=iterations,
                 residuals=residuals,
                 converged=converged,
@@ -472,7 +475,7 @@ def batched_power_iteration(
             residual=float(residuals[laggard]),
         )
     return BatchedOutcome(
-        scores=prepared.from_backend_block(x),
+        scores=prepared.from_kernel(x),
         iterations=iterations,
         residuals=residuals,
         converged=converged,

@@ -26,14 +26,9 @@ step as in-place kernels over preallocated buffers:
 Everything here is pure arithmetic: validation, convergence policy and
 result packaging stay in :mod:`repro.pagerank.solver` and friends.
 
-Since the backend refactor these functions double as the **reference
-backend** (:mod:`repro.pagerank.backends.reference`): the convergence
-driver :func:`run_power_loop` dispatches each sweep through a
-:class:`~repro.pagerank.backends.SolverBackend`, with the scipy
-kernels below as the always-available default and the optional numba
-backend as the compiled, GIL-free alternative.  The kernels are
-dtype-generic — ``_sparsetools`` dispatches on the array dtypes — so
-the same code serves the float32 score mode.
+The kernels are dtype-generic — ``_sparsetools`` dispatches on the
+array dtypes — so the same code serves the float32 score mode
+(:mod:`repro.pagerank.precision`).
 """
 
 from __future__ import annotations
@@ -64,8 +59,9 @@ def csr_matvec_into(
 ) -> np.ndarray:
     """``out[:] = matrix @ x`` without allocating the result.
 
-    ``out`` must be a float64 array of length ``matrix.shape[0]``; its
-    prior contents are discarded.  Returns ``out``.
+    ``out`` must be an array of the matrix dtype and length
+    ``matrix.shape[0]``; its prior contents are discarded.  Returns
+    ``out``.
     """
     if _HAVE_SPARSETOOLS:
         out.fill(0.0)
@@ -89,8 +85,8 @@ def csr_matmat_dense_into(
     """``out[:] = matrix @ block`` for a dense C-contiguous ``block``.
 
     ``block`` is ``(matrix.shape[1], K)`` and ``out`` is
-    ``(matrix.shape[0], K)``; both must be C-contiguous float64 (the C
-    kernel walks them row-major).  Returns ``out``.
+    ``(matrix.shape[0], K)``; both must be C-contiguous in the matrix
+    dtype (the C kernel walks them row-major).  Returns ``out``.
     """
     if _HAVE_SPARSETOOLS and block.flags.c_contiguous and out.flags.c_contiguous:
         out.fill(0.0)
@@ -138,9 +134,9 @@ def csr_matmat_dense_accumulate(
 class PowerIterationWorkspace:
     """Preallocated buffers for one single-vector power iteration.
 
-    A workspace is tied to a problem size ``n`` (and, since the
-    backend refactor, a score dtype — float64 by default, float32 for
-    the reduced-precision backends); reusing it across repeated solves
+    A workspace is tied to a problem size ``n`` and a score dtype
+    (float64 by default, float32 for the reduced-precision mode);
+    reusing it across repeated solves
     on the same graph makes the steady state of the solver
     allocation-free.  The buffers:
 
@@ -284,7 +280,6 @@ def run_power_loop(
     check_finite: bool = False,
     divergence_patience: int = 0,
     residual_trace: "list[float] | None" = None,
-    backend=None,
 ) -> tuple[int, float, bool]:
     """Drive the damped step to convergence over a workspace.
 
@@ -292,13 +287,9 @@ def run_power_loop(
     return it holds the final iterate.  Returns ``(iterations,
     residual, converged)``.
 
-    ``backend`` selects the kernel implementation
-    (:class:`~repro.pagerank.backends.SolverBackend`); ``None`` means
-    the process default.  Every array argument must already live in the
-    backend's domain (dtype and layout) — the solver layer handles
-    that via :meth:`~repro.pagerank.backends.SolverBackend.prepare`.
-    On the default reference/float64 backend this function performs
-    exactly the historical in-place step, bit for bit.
+    Every array argument must already live in the kernel domain (dtype
+    and layout) — the solver layer handles that via
+    :func:`repro.pagerank.precision.prepare`.
 
     Guards (both off by default; the solver layer enables them):
 
@@ -317,16 +308,12 @@ def run_power_loop(
     ``residual_trace``, when given, accumulates the per-sweep residual
     (the forensic trail carried by :class:`DivergenceError`).
     """
-    if backend is None:
-        from repro.pagerank import backends as _backends
-
-        backend = _backends.default_backend()
     residual = np.inf
     iterations = 0
     best_residual = np.inf
     stall_streak = 0
     for iterations in range(1, max_iterations + 1):
-        residual = backend.step(
+        damped_step_into(
             transition_t,
             workspace.x,
             workspace.x_next,
@@ -336,6 +323,9 @@ def run_power_loop(
             dangling_dist=dangling_dist,
             scratch=workspace.scratch,
             workspace=workspace,
+        )
+        residual = l1_residual_into(
+            workspace.x_next, workspace.x, workspace.scratch
         )
         if residual_trace is not None:
             residual_trace.append(float(residual))

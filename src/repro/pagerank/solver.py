@@ -26,7 +26,7 @@ from scipy import sparse
 
 from repro.exceptions import ConvergenceError, DivergenceError
 from repro.obs import telemetry
-from repro.pagerank.backends import SolverBackend, resolve_backend
+from repro.pagerank import precision
 from repro.pagerank.kernels import (
     PowerIterationWorkspace,
     projected_cold_iterations,
@@ -159,18 +159,18 @@ def power_iteration(
     settings: PowerIterationSettings | None = None,
     initial: np.ndarray | None = None,
     workspace: PowerIterationWorkspace | None = None,
-    backend: "SolverBackend | str | None" = None,
+    dtype=None,
 ) -> PowerIterationOutcome:
     """Run the damped power iteration to its stationary distribution.
 
-    The iteration itself runs on the allocation-free kernels of the
-    selected :class:`~repro.pagerank.backends.SolverBackend`: iterate
-    and scratch buffers are preallocated once (or supplied by the
-    caller) and every step is an in-place fused sweep.  The matrix is
-    passed through :meth:`~repro.pagerank.backends.SolverBackend.prepare`
-    (dtype cast, optional cache-aware relabeling — memoised per
-    matrix), and results are always returned as float64 in original
-    node order regardless of the backend's internal domain.
+    The iteration itself runs on the allocation-free kernels of
+    :mod:`repro.pagerank.kernels`: iterate and scratch buffers are
+    preallocated once (or supplied by the caller) and every step is an
+    in-place sweep.  The matrix is passed through
+    :func:`repro.pagerank.precision.prepare` (float32 cast plus
+    degree relabeling, memoised per matrix; a float64 passthrough),
+    and results are always returned as float64 in original node
+    order.
 
     Parameters
     ----------
@@ -194,13 +194,11 @@ def power_iteration(
         :class:`~repro.pagerank.kernels.PowerIterationWorkspace` of the
         right size; pass one when solving repeatedly on the same graph
         so the steady state allocates nothing.  Its dtype must match
-        the backend's; a mismatched workspace is ignored (a private
-        one is allocated) rather than clobbered with casts.
-    backend:
-        Kernel implementation: a
-        :class:`~repro.pagerank.backends.SolverBackend` instance, a
-        spec string (``"reference"``, ``"numba:float32"``, ...) or
-        ``None`` for the process default (``REPRO_BACKEND``).
+        the solve's; a mismatched workspace is ignored (a private one
+        is allocated) rather than clobbered with casts.
+    dtype:
+        Sweep precision, ``"float64"`` or ``"float32"``; ``None`` means
+        the process default (``REPRO_DTYPE`` / ``--float32``).
 
     Returns
     -------
@@ -240,8 +238,7 @@ def power_iteration(
             )
         dangling_indices = np.flatnonzero(dangling_mask)
 
-    backend = resolve_backend(backend)
-    prepared = backend.prepare(transition_t)
+    prepared = precision.prepare(transition_t, dtype)
 
     caller_workspace = workspace is not None
     if workspace is not None and workspace.size != size:
@@ -249,7 +246,7 @@ def power_iteration(
             f"workspace is sized for {workspace.size}, problem is {size}"
         )
     if workspace is not None and workspace.dtype != prepared.dtype:
-        # Caller-owned buffers in the wrong precision for this backend:
+        # Caller-owned buffers in the wrong precision for this solve:
         # solve in a private workspace rather than clobbering them.
         workspace = None
         caller_workspace = False
@@ -269,13 +266,15 @@ def power_iteration(
         if total <= 0:
             raise ValueError("initial vector must have positive mass")
         start_vector = initial / total
-    np.copyto(workspace.x, prepared.to_backend(start_vector))
+    np.copyto(workspace.x, prepared.to_kernel(start_vector))
 
     damping = settings.damping
-    base = prepared.to_backend((1.0 - damping) * teleport)
-    kernel_dangling_dist = prepared.to_backend(dangling_dist)
+    base = prepared.to_kernel((1.0 - damping) * teleport)
+    kernel_dangling_dist = prepared.to_kernel(dangling_dist)
     kernel_dangling_indices = prepared.map_indices(dangling_indices)
-    tolerance = backend.effective_tolerance(settings.tolerance, size)
+    tolerance = precision.effective_tolerance(
+        settings.tolerance, size, prepared.dtype
+    )
     guarded = settings.check_finite or settings.divergence_patience > 0
     trace: list[float] | None = [] if guarded else None
     start = time.perf_counter()
@@ -292,7 +291,6 @@ def power_iteration(
             check_finite=settings.check_finite,
             divergence_patience=settings.divergence_patience,
             residual_trace=trace,
-            backend=backend,
         )
     except DivergenceError as exc:
         telemetry.record_divergence("power", exc.iterations or 0)
@@ -311,7 +309,7 @@ def power_iteration(
         # The warm start was abandoned; the retry is a cold solve and
         # must not claim warm-start savings.
         warm_start = False
-        np.copyto(workspace.x, prepared.to_backend(teleport))
+        np.copyto(workspace.x, prepared.to_kernel(teleport))
         trace = [] if guarded else None
         try:
             iterations, residual, converged = run_power_loop(
@@ -326,7 +324,6 @@ def power_iteration(
                 check_finite=settings.check_finite,
                 divergence_patience=settings.divergence_patience,
                 residual_trace=trace,
-                backend=backend,
             )
         except DivergenceError as restart_exc:
             telemetry.record_divergence("power", restart_exc.iterations or 0)
@@ -348,7 +345,7 @@ def power_iteration(
     else:
         # Restoration (cast to float64 / inverse permutation) already
         # produces a private array.
-        scores = prepared.from_backend(workspace.x)
+        scores = prepared.from_kernel(workspace.x)
     if not converged and settings.raise_on_divergence:
         raise ConvergenceError(
             f"power iteration did not reach tolerance "

@@ -18,13 +18,19 @@ workload (K personalised walks over one web-like graph):
 * **observability** — the sequential leg re-timed with the
   :mod:`repro.obs.telemetry` recording hooks stubbed out, gating the
   always-on instrumentation (null spans + registry counters) to <2%
-  overhead.
+  overhead;
+* **float32** — one uniform global solve at float64 and in the
+  float32 score mode (:mod:`repro.pagerank.precision`): seconds,
+  speedup, and the L1 gap between the two, which must stay within
+  :func:`~repro.pagerank.precision.float32_l1_bound`.  That accuracy
+  clause is never waived; the speedup is recorded, not gated.
 
 The record is written to ``BENCH_solver.json`` so the performance
 trajectory is tracked across PRs.  In smoke mode (small graph, CI
 tier-2 gate) the run *fails* — ``gate_passed`` False and exit code 1
 from the script — if the batched kernel is not faster than K
-independent single solves on the same workload.
+independent single solves on the same workload, or if the float32
+solve leaves its documented error bound.
 """
 
 from __future__ import annotations
@@ -44,7 +50,12 @@ from repro.pagerank.kernels import (
     PowerIterationWorkspace,
     run_power_loop,
 )
-from repro.pagerank.solver import PowerIterationSettings, power_iteration
+from repro.pagerank.precision import float32_l1_bound
+from repro.pagerank.solver import (
+    PowerIterationSettings,
+    power_iteration,
+    uniform_teleport,
+)
 from repro.perf.cache import TransitionCache
 
 #: Default record location (repo root when run from the checkout).
@@ -313,10 +324,44 @@ def run_kernel_benchmark(
     )
     kernel_peak = _measure_peak_bytes(kernel_loop)
 
+    # --- float32 score mode vs float64 -------------------------------
+    # One uniform global solve at each precision, best of reps after a
+    # warm-up (the warm-up also pays the memoised float32 cast and
+    # degree relabel, which every later solve on this matrix reuses).
+    def timed_global(dtype: str):
+        solve_workspace = PowerIterationWorkspace(
+            graph.num_nodes, dtype=dtype
+        )
+        best = float("inf")
+        outcome = None
+        for rep in range(TIMING_REPS + 1):
+            solve_start = time.perf_counter()
+            outcome = power_iteration(
+                transition_t,
+                teleport=uniform,
+                dangling_mask=dangling_mask,
+                settings=settings,
+                workspace=solve_workspace,
+                dtype=dtype,
+            )
+            if rep:
+                best = min(best, time.perf_counter() - solve_start)
+        return best, outcome
+
+    uniform = uniform_teleport(graph.num_nodes)
+    f64_seconds, f64_outcome = timed_global("float64")
+    f32_seconds, f32_outcome = timed_global("float32")
+    f32_gap = float(np.abs(f32_outcome.scores - f64_outcome.scores).sum())
+    f32_bound = float32_l1_bound(
+        graph.num_nodes, settings.tolerance, settings.damping
+    )
+    f32_within_bound = bool(f32_gap <= f32_bound)
+
     gate_passed = (
         bool(speedup > 1.0)
         and bool(kernel_peak < legacy_peak)
         and obs_gate_passed
+        and f32_within_bound
     )
     record: dict[str, Any] = {
         "benchmark": "solver_kernels",
@@ -373,6 +418,18 @@ def run_kernel_benchmark(
             "overhead_pct": obs_overhead_pct,
             "gate_passed": obs_gate_passed,
         },
+        "float32": {
+            "float64_seconds": f64_seconds,
+            "seconds": f32_seconds,
+            "speedup_vs_float64": (
+                f64_seconds / f32_seconds if f32_seconds else float("inf")
+            ),
+            "float64_iterations": int(f64_outcome.iterations),
+            "iterations": int(f32_outcome.iterations),
+            "l1_gap_vs_float64": f32_gap,
+            "l1_bound": f32_bound,
+            "within_bound": f32_within_bound,
+        },
         "gate_passed": gate_passed,
     }
     if output_path is not None:
@@ -418,6 +475,15 @@ def format_summary(record: dict[str, Any]) -> str:
             f"({delta_ms:+.2f}ms) telemetry overhead on the sequential "
             f"leg ({'PASS' if observability['gate_passed'] else 'FAIL'}: "
             f"budget 2% with a 5ms noise floor)"
+        )
+    f32 = record.get("float32")
+    if f32:
+        lines.append(
+            f"  float32 : {f32['seconds']*1e3:.1f}ms vs "
+            f"{f32['float64_seconds']*1e3:.1f}ms float64 — "
+            f"{f32['speedup_vs_float64']:.2f}x, L1 gap "
+            f"{f32['l1_gap_vs_float64']:.2e} (bound {f32['l1_bound']:.2e} "
+            f"{'OK' if f32['within_bound'] else 'EXCEEDED'})"
         )
     lines.append(
         f"  gate    : {'PASS' if record['gate_passed'] else 'FAIL'}"

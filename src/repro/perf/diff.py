@@ -2,7 +2,7 @@
 
 Every benchmark harness in :mod:`repro.perf` persists its record as a
 JSON file in the repo root (``BENCH_solver.json``,
-``BENCH_parallel.json``, ``BENCH_backend.json``, ...).  Those files
+``BENCH_parallel.json``, ``BENCH_update.json``, ...).  Those files
 are committed, so the performance trajectory lives in git history —
 but eyeballing two JSON blobs for "did this PR slow anything down?"
 does not scale.  This module turns a pair of records into a focused
@@ -54,9 +54,9 @@ def _numeric_leaves(node: Any, path: str = "") -> dict[str, float]:
     """Flatten a record to ``{json.path: value}`` over numeric leaves.
 
     Booleans are excluded (gates are compared separately); list items
-    are keyed by a discriminating label when present (``workers``,
-    ``threads``, ``backend``/``dtype``) so sweep entries line up across
-    records even if their order or length changes.
+    are keyed by a discriminating label when present (``family``,
+    ``estimator``, ``workers``, ``gate``) so sweep entries line up
+    across records even if their order or length changes.
     """
     leaves: dict[str, float] = {}
     if isinstance(node, dict):
@@ -71,16 +71,12 @@ def _numeric_leaves(node: Any, path: str = "") -> dict[str, float]:
             if isinstance(item, dict):
                 if "family" in item:
                     label = str(item["family"])
-                elif "backend" in item and "dtype" in item:
-                    label = f"{item['backend']}/{item['dtype']}"
                 elif "estimator" in item and "walks" in item:
                     label = f"{item['estimator']}/walks={item['walks']}"
                 elif "estimator" in item and "r_max" in item:
                     label = f"{item['estimator']}/r_max={item['r_max']:g}"
                 elif "workers" in item:
                     label = f"workers={item['workers']}"
-                elif "threads" in item:
-                    label = f"threads={item['threads']}"
                 elif "gate" in item:
                     label = str(item["gate"])
             leaves.update(_numeric_leaves(item, f"{path}[{label}]"))

@@ -113,6 +113,10 @@ log = logging.getLogger(__name__)
 #: subgraph fits comfortably; anything bigger is abuse).
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Header lines accepted per request; a client sending more is abusing
+#: the server, not describing a ranking request.
+_MAX_HEADER_LINES = 100
+
 #: A ``Content-Length`` value as RFC 9110 allows it: decimal digits
 #: only (``int()`` alone would also take signs, blanks and ``_``).
 _DIGITS = re.compile(r"[0-9]+")
@@ -767,7 +771,7 @@ class RankingService:
 
     def health(self) -> dict:
         """The ``/healthz`` payload."""
-        from repro.pagerank.backends import backend_info
+        from repro.pagerank.precision import default_dtype
 
         state = self._state
         store_stats = self.store.stats()
@@ -779,7 +783,7 @@ class RankingService:
             "store": store_stats,
             "batching": self.batcher.policy.enabled,
             "pending": self.batcher.pending,
-            "solver_backend": backend_info(),
+            "solver_dtype": default_dtype().name,
             "default_estimator": self._default_estimator or "exact",
             "updates": {
                 "applied": self._updates_applied,
@@ -1028,7 +1032,14 @@ class RankingServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> bool:
-        request_line = await reader.readline()
+        # ``readline`` raises ValueError on a line longer than the
+        # StreamReader limit (64 KiB); such a line, like an endless
+        # header block, loses the framing and gets a counted 400.
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            await self._reject(writer, "request line too long")
+            return False
         if not request_line:
             return False
         try:
@@ -1040,10 +1051,17 @@ class RankingServer:
             return False
 
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for count in range(_MAX_HEADER_LINES + 1):
+            try:
+                line = await reader.readline()
+            except ValueError:
+                await self._reject(writer, "header line too long")
+                return False
             if line in (b"\r\n", b"\n", b""):
                 break
+            if count == _MAX_HEADER_LINES:
+                await self._reject(writer, "too many header lines")
+                return False
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
 

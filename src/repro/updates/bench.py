@@ -22,8 +22,8 @@ correctness clauses ride along and are **never** waived:
 * **accuracy** — per update, the warm and cold solves must land on
   the same fixed point: ``L1(warm − cold)`` within the combined
   solver-truncation slack ``2·tol/(1−ε)`` (widened by the documented
-  :func:`~repro.pagerank.backends.float32_l1_bound` clamp when the
-  active backend solves in float32);
+  :func:`~repro.pagerank.precision.float32_l1_bound` clamp when the
+  process solves in float32);
 * **staleness** — the Theorem-2 accounting is honest and the budget
   is enforced: per update, the chained warm vector's measured L1
   error against a fresh global solve of the new graph must sit under
@@ -48,7 +48,11 @@ from typing import Any
 import numpy as np
 
 from repro.generators.datasets import make_tiny_web
-from repro.pagerank.backends import float32_l1_bound, resolve_backend
+from repro.pagerank.precision import (
+    FLOAT32,
+    default_dtype,
+    float32_l1_bound,
+)
 from repro.pagerank.globalrank import global_pagerank
 from repro.pagerank.solver import PowerIterationSettings
 from repro.serve.store import DEFAULT_STALENESS_BUDGET
@@ -96,11 +100,10 @@ def _truncation_slack(
     """Combined truncation slack of two converged regional solves.
 
     Each solve stops within ``tol/(1−ε)`` L1 of the fixed point; a
-    float32 backend adds its documented roundoff clamp per solve.
+    float32 solve adds its documented roundoff clamp.
     """
     slack = 2.0 * tolerance / (1.0 - damping)
-    backend = resolve_backend(None)
-    if np.dtype(backend.dtype) == np.dtype(np.float32):
+    if default_dtype() == FLOAT32:
         slack += 2.0 * float32_l1_bound(
             region_size + 1, tolerance, damping
         )
@@ -141,7 +144,6 @@ def run_update_benchmark(
     settings = PowerIterationSettings(tolerance=BENCH_TOLERANCE)
     damping = settings.damping
     budget = DEFAULT_STALENESS_BUDGET
-    backend = resolve_backend(None)
 
     dataset = make_tiny_web(num_pages=num_pages, seed=seed)
     graph = dataset.graph
@@ -264,7 +266,7 @@ def run_update_benchmark(
         "edges_removed": EDGES_REMOVED,
         "solver_tolerance": BENCH_TOLERANCE,
         "damping": damping,
-        "backend": backend.describe(),
+        "dtype": default_dtype().name,
         "warm": {
             "rerank_seconds": warm_seconds,
             "updates_per_second": (
@@ -314,13 +316,13 @@ def format_update_summary(record: dict[str, Any]) -> str:
     """Human-readable summary of an update benchmark record."""
     lines = [
         "update benchmark ({} pages, {} updates of {}+/{}- edges "
-        "over {}-page regions, backend {})".format(
+        "over {}-page regions, {})".format(
             record["pages"],
             record["updates"],
             record["edges_added"],
             record["edges_removed"],
             record["region_size"],
-            record["backend"],
+            record["dtype"],
         ),
         "  {:<6} {:>12} {:>14} {:>12}".format(
             "arm", "seconds", "updates/sec", "iterations"

@@ -23,9 +23,9 @@ of the updated graph, built from two pieces —
   bounds ``‖ΔE‖₁``, the drift of the external-importance vector the
   regional IdealRank consumed stale;
 * Theorem 2 amplifies that stale input by ``ε/(1−ε)``; solver
-  truncation adds ``residual/(1−ε)`` (or the documented
-  :func:`~repro.pagerank.backends.float32_l1_bound` clamp when the
-  active backend solves in float32).
+  truncation adds ``residual/(1−ε)`` (plus the documented
+  :func:`~repro.pagerank.precision.float32_l1_bound` clamp when the
+  regional solve runs in float32).
 
 The serving layer accumulates these charges per store entry and stops
 serving an entry the moment its cumulative charge exceeds the
@@ -43,7 +43,11 @@ from repro.core.idealrank import idealrank
 from repro.exceptions import GraphError, SubgraphError
 from repro.graph.digraph import CSRGraph
 from repro.obs.metrics import REGISTRY, MetricsRegistry
-from repro.pagerank.backends import float32_l1_bound, resolve_backend
+from repro.pagerank.precision import (
+    FLOAT32,
+    float32_l1_bound,
+    resolve_dtype,
+)
 from repro.pagerank.solver import PowerIterationSettings
 from repro.updates.affected import affected_region, changed_pages
 from repro.updates.delta import GraphDelta
@@ -80,8 +84,8 @@ class UpdateResult:
         Theorem-2 charge of serving the spliced vector in place of a
         fresh global solve: ``ε/(1−ε)·delta_e_bound`` plus solver
         truncation (see module docs).  Zero for an empty update.
-    backend:
-        ``name/dtype`` of the solver backend that ran the regional
+    dtype:
+        Solver dtype name (``float64``/``float32``) of the regional
         solve (empty for the no-solve shortcut).
     """
 
@@ -93,7 +97,7 @@ class UpdateResult:
     iterations_saved: int = 0
     delta_e_bound: float = 0.0
     staleness_charge: float = 0.0
-    backend: str = ""
+    dtype: str = ""
 
     def __post_init__(self) -> None:
         self.scores.setflags(write=False)
@@ -111,7 +115,7 @@ def staleness_charge_bound(
 
     ``ε/(1−ε)`` times the external-drift bound, plus the damped-
     contraction truncation term ``residual/(1−ε)`` and, for float32
-    backends, the documented roundoff clamp.  Every term is an upper
+    solves, the documented roundoff clamp.  Every term is an upper
     bound, so the sum is one too; the serving layer adds charges
     across updates (the triangle inequality keeps the total valid).
     """
@@ -129,7 +133,7 @@ def incremental_rerank(
     delta: GraphDelta | None = None,
     hops: int = 2,
     settings: PowerIterationSettings | None = None,
-    backend=None,
+    dtype=None,
     warm_start: bool = True,
     registry: MetricsRegistry | None = None,
 ) -> UpdateResult:
@@ -148,14 +152,12 @@ def incremental_rerank(
         more expensive.
     settings:
         Solver knobs for the IdealRank solve.
-    backend:
-        Solver backend for the regional solve: an instance, a spec
-        string, or ``None`` for the process default — so
-        ``--backend`` / ``--float32`` / ``REPRO_BACKEND`` /
-        ``REPRO_DTYPE`` govern the incremental path exactly as they
-        govern cold solves.  Float32 backends widen the returned
-        ``staleness_charge`` by the documented
-        :func:`~repro.pagerank.backends.float32_l1_bound` clamp.
+    dtype:
+        Sweep precision of the regional solve; ``None`` is the process
+        default, so ``--float32`` / ``REPRO_DTYPE`` govern the
+        incremental path exactly as they govern cold solves.  Float32
+        widens the returned ``staleness_charge`` by the documented
+        :func:`~repro.pagerank.precision.float32_l1_bound` clamp.
     warm_start:
         Start the regional solve from the spliced old vector
         (default).  ``False`` forces a cold solve — the benchmark's
@@ -202,7 +204,7 @@ def incremental_rerank(
 
     if settings is None:
         settings = PowerIterationSettings()
-    resolved = resolve_backend(backend)
+    dtype = resolve_dtype(dtype)
     damping = settings.damping
 
     # Yesterday's scores, extended to the new id space: brand-new
@@ -223,7 +225,7 @@ def incremental_rerank(
 
     ranked = idealrank(
         new_graph, region, stale, settings,
-        initial=initial, backend=resolved,
+        initial=initial, dtype=dtype,
     )
 
     spliced = stale.copy()
@@ -246,7 +248,7 @@ def incremental_rerank(
 
     delta_e_bound = perturbation_bound(stale, seeds, damping)
     clamp = 0.0
-    if np.dtype(resolved.dtype) == np.dtype(np.float32):
+    if dtype == FLOAT32:
         clamp = float32_l1_bound(
             region.size + 1, settings.tolerance, damping
         )
@@ -281,5 +283,5 @@ def incremental_rerank(
         iterations_saved=saved,
         delta_e_bound=float(delta_e_bound),
         staleness_charge=float(charge),
-        backend=resolved.describe(),
+        dtype=dtype.name,
     )

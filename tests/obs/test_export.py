@@ -417,6 +417,19 @@ class TestRenderReport:
         assert "Recent solves" in report
         assert "tail" in report
 
+    def test_solver_section_names_the_default_dtype(self):
+        reg = golden_registry()
+        help_text = "Process-default solver dtype"
+        reg.gauge(
+            "repro_solver_dtype_info", help_text, dtype="float64"
+        ).set(0.0)
+        reg.gauge(
+            "repro_solver_dtype_info", help_text, dtype="float32"
+        ).set(1.0)
+        lines = render_report(build_snapshot(reg)).splitlines()
+        solver = lines.index("Solver iterations (per solve)")
+        assert lines[solver + 1] == "  dtype float32"
+
     def test_serve_section_renders_from_serve_metrics(self):
         reg = MetricsRegistry()
         reg.counter(

@@ -1,17 +1,14 @@
-"""Tests for the pluggable solver backends.
+"""Tests for the solver precision switch (float64 default, float32 mode).
 
 Three load-bearing guarantees:
 
-* **Bit-identity of the default path** — the reference/float64 backend
-  with identity layout must reproduce the pre-backend solver output
-  byte for byte (no drift from the refactor).
-* **Cross-backend agreement** — every installed (backend, dtype) cell
-  must agree with reference/float64: to 1e-12 L1 for float64 cells,
-  and within the documented :func:`float32_l1_bound` for float32
-  cells.  Numba cells skip cleanly when numba is not installed.
-* **Caller-invisible relabeling** — degree-ordered CSR layouts are an
-  internal detail; scores always come back float64 in original node
-  order.
+* **Bit-identity of the default path** — an explicit ``dtype="float64"``
+  solve reproduces the default solve byte for byte.
+* **Float32 agreement** — the float32 score mode agrees with float64
+  within the documented :func:`float32_l1_bound`.
+* **Caller-invisible relabeling** — the degree-ordered CSR layout of
+  the float32 mode is an internal detail; scores always come back
+  float64 in original node order.
 """
 
 from __future__ import annotations
@@ -27,19 +24,15 @@ from repro.graph.relabel import (
     permute_vector,
     restore_vector,
 )
-from repro.pagerank.backends import (
-    BackendUnavailableError,
-    SolverBackend,
-    available_backends,
-    backend_info,
-    default_backend,
+from repro.obs.metrics import REGISTRY
+from repro.pagerank.precision import (
+    default_dtype,
+    effective_tolerance,
     float32_l1_bound,
-    get_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
+    prepare,
+    resolve_dtype,
+    set_default_dtype,
 )
-from repro.pagerank.backends.numba_backend import NUMBA_AVAILABLE
 from repro.pagerank.solver import (
     PowerIterationSettings,
     power_iteration,
@@ -47,109 +40,76 @@ from repro.pagerank.solver import (
 )
 from repro.pagerank.transition import transition_matrix_transpose
 
-ALL_CELLS = [
-    ("reference", "float64"),
-    ("reference", "float32"),
-    ("numba", "float64"),
-    ("numba", "float32"),
-]
+DTYPES = ["float64", "float32"]
 
 
-def cell_backend(name: str, dtype: str) -> SolverBackend:
-    """Resolve one sweep cell, skipping when its backend is absent."""
-    try:
-        return get_backend(name, dtype=dtype)
-    except BackendUnavailableError as exc:
-        pytest.skip(str(exc))
+def _cell_id(dtype: str) -> str:
+    """Sweep-cell id: the scipy reference kernels at one dtype."""
+    return f"reference-{dtype}"
 
 
-def solve(graph, backend=None, settings=None):
+@pytest.fixture
+def restore_default_dtype():
+    """Reset the process-default dtype to ``REPRO_DTYPE`` afterwards."""
+    yield
+    set_default_dtype(None)
+
+
+def solve(graph, dtype=None, settings=None):
     transition_t, dangling = transition_matrix_transpose(graph)
     return power_iteration(
         transition_t,
         teleport=uniform_teleport(graph.num_nodes),
         dangling_mask=dangling,
         settings=settings or PowerIterationSettings(),
-        backend=backend,
+        dtype=dtype,
     )
 
 
-class TestRegistry:
-    def test_reference_always_available(self):
-        availability = available_backends()
-        assert availability["reference"] is True
-        assert "numba" in availability
-
-    def test_get_backend_caches_instances(self):
-        assert get_backend("reference") is get_backend("reference")
-        assert get_backend("reference") is not get_backend(
-            "reference", dtype="float32"
-        )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            get_backend("fortran")
-
-    def test_spec_resolution(self):
-        backend = resolve_backend("reference:float32")
-        assert backend.name == "reference"
-        assert backend.dtype == np.dtype(np.float32)
-
-    def test_bad_dtype_spec_rejected(self):
-        with pytest.raises(ValueError, match="float32/float64"):
-            resolve_backend("reference:float16")
-
-    def test_numba_unavailable_raises_cleanly(self):
-        if NUMBA_AVAILABLE:
-            pytest.skip("numba installed; unavailability path untestable")
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            get_backend("numba")
-
-    def test_auto_spec_always_resolves(self):
-        backend = resolve_backend("auto")
-        assert backend.name == ("numba" if NUMBA_AVAILABLE else "reference")
-
-    def test_backend_info_payload(self):
-        info = backend_info(get_backend("reference", dtype="float32"))
-        assert info["backend"] == "reference"
-        assert info["dtype"] == "float32"
-        assert info["numba_available"] is NUMBA_AVAILABLE
-
-
+@pytest.mark.usefixtures("restore_default_dtype")
 class TestDefaultSelection:
-    def test_use_backend_restores_previous_default(self):
-        before = default_backend().describe()
-        with use_backend("reference:float32") as active:
-            assert active.dtype == np.dtype(np.float32)
-            assert default_backend() is active
-        assert default_backend().describe() == before
-
-    def test_set_default_backend_none_resets_to_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_DTYPE", raising=False)
-        with use_backend("reference:float32"):
-            set_default_backend(None)
-            assert default_backend().dtype == np.dtype(np.float64)
-
     def test_env_spec_drives_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "reference:float32")
-        with use_backend(None):
-            assert default_backend().dtype == np.dtype(np.float32)
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        set_default_dtype(None)
+        assert default_dtype() == np.dtype(np.float32)
+
+    def test_set_default_dtype_none_resets_to_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        set_default_dtype("float32")
+        assert default_dtype() == np.dtype(np.float32)
+        set_default_dtype(None)
+        assert default_dtype() == np.dtype(np.float64)
+
+    def test_default_dtype_drives_solves(self, messy_graph):
+        explicit = solve(messy_graph, dtype="float32")
+        set_default_dtype("float32")
+        implicit = solve(messy_graph)
+        assert np.array_equal(explicit.scores, implicit.scores)
+
+    def test_bad_dtype_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="float32/float64"):
+            resolve_dtype("float16")
+        monkeypatch.setenv("REPRO_DTYPE", "int8")
+        set_default_dtype(None)
+        with pytest.raises(ValueError, match="REPRO_DTYPE"):
+            default_dtype()
+
+    def test_info_gauge_marks_only_the_default(self):
+        set_default_dtype("float32")
+        set_default_dtype("float64")
+        name = "repro_solver_dtype_info"
+        assert REGISTRY.value(name, dtype="float64") == 1.0
+        assert REGISTRY.value(name, dtype="float32") == 0.0
 
 
 class TestAgreement:
-    """Satellite: parametrized (backend, dtype) agreement sweep."""
-
-    @pytest.mark.parametrize("name,dtype", ALL_CELLS)
-    def test_cell_agrees_with_reference_f64(
-        self, name, dtype, messy_graph
-    ):
-        backend = cell_backend(name, dtype)
-        baseline = solve(messy_graph)  # default: reference/float64
-        outcome = solve(messy_graph, backend=backend)
+    @pytest.mark.parametrize("dtype", DTYPES, ids=_cell_id)
+    def test_cell_agrees_with_reference_f64(self, dtype, messy_graph):
+        baseline = solve(messy_graph)  # default: float64
+        outcome = solve(messy_graph, dtype=dtype)
         gap = float(np.abs(outcome.scores - baseline.scores).sum())
         if dtype == "float64":
-            assert gap <= 1e-12
+            assert gap == 0.0
         else:
             settings = PowerIterationSettings()
             bound = float32_l1_bound(
@@ -159,12 +119,9 @@ class TestAgreement:
             )
             assert gap <= bound
 
-    @pytest.mark.parametrize("name,dtype", ALL_CELLS)
-    def test_scores_are_float64_and_normalised(
-        self, name, dtype, messy_graph
-    ):
-        backend = cell_backend(name, dtype)
-        outcome = solve(messy_graph, backend=backend)
+    @pytest.mark.parametrize("dtype", DTYPES, ids=_cell_id)
+    def test_scores_are_float64_and_normalised(self, dtype, messy_graph):
+        outcome = solve(messy_graph, dtype=dtype)
         assert outcome.scores.dtype == np.dtype(np.float64)
         assert outcome.scores.sum() == pytest.approx(1.0, abs=1e-6)
         assert np.all(outcome.scores > 0)
@@ -173,9 +130,7 @@ class TestAgreement:
         self, messy_graph, tight_settings
     ):
         explicit = solve(
-            messy_graph,
-            backend=get_backend("reference"),
-            settings=tight_settings,
+            messy_graph, dtype="float64", settings=tight_settings
         )
         implicit = solve(messy_graph, settings=tight_settings)
         assert np.array_equal(explicit.scores, implicit.scores)
@@ -183,11 +138,9 @@ class TestAgreement:
 
 class TestFloat32Mode:
     def test_tolerance_floor_clamps_only_float32(self):
-        f32 = get_backend("reference", dtype="float32")
-        f64 = get_backend("reference")
-        assert f64.effective_tolerance(1e-12, 10_000) == 1e-12
-        assert f32.effective_tolerance(1e-12, 10_000) > 1e-12
-        assert f32.effective_tolerance(1e-3, 10_000) == 1e-3
+        assert effective_tolerance(1e-12, 10_000, "float64") == 1e-12
+        assert effective_tolerance(1e-12, 10_000, "float32") > 1e-12
+        assert effective_tolerance(1e-3, 10_000, "float32") == 1e-3
 
     def test_bound_grows_with_size(self):
         settings = PowerIterationSettings()
@@ -198,18 +151,17 @@ class TestFloat32Mode:
         assert 0 < small <= large
 
     def test_float32_uses_degree_layout(self, messy_graph):
-        backend = get_backend("reference", dtype="float32")
         transition_t, __ = transition_matrix_transpose(messy_graph)
-        prepared = backend.prepare(transition_t)
+        prepared = prepare(transition_t, "float32")
         assert prepared.perm is not None
         assert not prepared.identity
         assert prepared.matrix.dtype == np.dtype(np.float32)
+        assert prepare(transition_t, "float64").matrix is transition_t
 
     def test_prepare_is_memoised_per_matrix(self, messy_graph):
-        backend = get_backend("reference", dtype="float32")
         transition_t, __ = transition_matrix_transpose(messy_graph)
-        assert backend.prepare(transition_t) is backend.prepare(
-            transition_t
+        assert prepare(transition_t, "float32") is prepare(
+            transition_t, "float32"
         )
 
 
@@ -245,12 +197,10 @@ class TestRelabel:
         assert np.array_equal(restore_vector(relabeled, perm), vector)
 
     def test_relabeled_solve_returns_original_order(self, messy_graph):
-        # The visible contract: a degree-relabeling backend must hand
-        # back scores indexed by the caller's node ids.
+        # The visible contract: the degree-relabeled float32 solve must
+        # hand back scores indexed by the caller's node ids.
         baseline = solve(messy_graph)
-        relabeled = solve(
-            messy_graph, backend=get_backend("reference", dtype="float32")
-        )
+        relabeled = solve(messy_graph, dtype="float32")
         # Same top domain structure: ranking of the clear winners agrees.
         top = np.argsort(baseline.scores)[-5:]
         settings = PowerIterationSettings()

@@ -3,12 +3,14 @@
 Excluded from the tier-1 run by the ``tier2`` marker (see
 ``pyproject.toml``); CI runs it via ``make test-tier2`` or
 ``make bench-kernels-smoke``.  The gate fails when the batched solver
-is slower than K sequential single solves on the smoke workload, or
-when the in-place kernels allocate as much as the legacy step.
+is slower than K sequential single solves on the smoke workload, when
+the in-place kernels allocate as much as the legacy step, or when the
+float32 solve leaves its documented L1 bound.
 """
 
 import pytest
 
+from repro.pagerank.precision import float32_l1_bound
 from repro.perf.bench import run_kernel_benchmark
 
 pytestmark = pytest.mark.tier2
@@ -55,3 +57,12 @@ class TestSmokeGate:
             cache["local_block_warm_seconds"]
             < cache["local_block_cold_seconds"]
         )
+
+    def test_float32_within_documented_bound(self, smoke_record):
+        workload = smoke_record["workload"]
+        f32 = smoke_record["float32"]
+        assert f32["l1_bound"] == float32_l1_bound(
+            workload["pages"], workload["tolerance"], workload["damping"]
+        )
+        assert f32["within_bound"]
+        assert 0.0 < f32["l1_gap_vs_float64"] <= f32["l1_bound"]

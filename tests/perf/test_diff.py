@@ -16,17 +16,14 @@ from repro.perf.diff import (
 
 def record(**overrides):
     base = {
-        "benchmark": "solver_backends",
+        "benchmark": "parallel_rank_many",
         "created_unix": 1_700_000_000.0,
         "gate_passed": True,
-        "single_solve": [
-            {"backend": "reference", "dtype": "float64", "seconds": 1.0},
-            {"backend": "reference", "dtype": "float32", "seconds": 0.5},
+        "sweep": [
+            {"workers": 1, "seconds": 1.0, "speedup_vs_serial": 1.0},
+            {"workers": 2, "seconds": 0.5, "speedup_vs_serial": 2.0},
         ],
-        "thread_sweep": [
-            {"threads": 1, "seconds": 2.0, "speedup_vs_serial": 1.0},
-        ],
-        "best_thread_speedup": 1.0,
+        "best_speedup": 2.0,
     }
     base.update(overrides)
     return base
@@ -42,25 +39,25 @@ class TestClassification:
 
     def test_slower_seconds_is_a_regression(self):
         new = record()
-        new["single_solve"][0]["seconds"] = 2.0
+        new["sweep"][0]["seconds"] = 2.0
         report = diff_records(record(), new)
         assert len(report["regressions"]) == 1
         entry = report["regressions"][0]
-        assert entry["metric"] == "single_solve[reference/float64].seconds"
+        assert entry["metric"] == "sweep[workers=1].seconds"
         assert entry["change_pct"] == pytest.approx(100.0)
 
     def test_faster_seconds_is_an_improvement(self):
         new = record()
-        new["single_solve"][0]["seconds"] = 0.5
+        new["sweep"][0]["seconds"] = 0.5
         report = diff_records(record(), new)
         assert report["regressions"] == []
         assert len(report["improvements"]) == 1
 
     def test_lower_speedup_is_a_regression(self):
-        new = record(best_thread_speedup=0.5)
+        new = record(best_speedup=0.5)
         report = diff_records(record(), new)
         assert any(
-            e["metric"] == "best_thread_speedup"
+            e["metric"] == "best_speedup"
             for e in report["regressions"]
         )
 
@@ -75,7 +72,7 @@ class TestClassification:
 
     def test_noise_below_threshold_suppressed(self):
         new = record()
-        new["single_solve"][0]["seconds"] = 1.0 + DEFAULT_THRESHOLD / 2
+        new["sweep"][0]["seconds"] = 1.0 + DEFAULT_THRESHOLD / 2
         report = diff_records(record(), new)
         assert report["regressions"] == []
         tight = diff_records(record(), new, threshold=0.01)
@@ -147,7 +144,7 @@ class TestStructure:
     def test_list_entries_keyed_by_label_not_position(self):
         # Reordering sweep cells must not produce phantom changes.
         new = record()
-        new["single_solve"] = list(reversed(new["single_solve"]))
+        new["sweep"] = list(reversed(new["sweep"]))
         report = diff_records(record(), new)
         assert report["regressions"] == []
         assert report["improvements"] == []
@@ -155,12 +152,12 @@ class TestStructure:
 
     def test_one_sided_metrics_reported(self):
         new = record()
-        new["thread_sweep"].append(
-            {"threads": 2, "seconds": 1.1, "speedup_vs_serial": 1.8}
+        new["sweep"].append(
+            {"workers": 4, "seconds": 0.4, "speedup_vs_serial": 2.5}
         )
         report = diff_records(record(), new)
         assert any(
-            path.startswith("thread_sweep[threads=2]")
+            path.startswith("sweep[workers=4]")
             for path in report["only_in_new"]
         )
         assert report["only_in_old"] == []
@@ -199,7 +196,7 @@ class TestLoadRecord:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
         path.write_text(json.dumps(record()), encoding="utf-8")
-        assert load_record(str(path))["benchmark"] == "solver_backends"
+        assert load_record(str(path))["benchmark"] == "parallel_rank_many"
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

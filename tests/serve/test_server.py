@@ -72,6 +72,7 @@ class TestEndpoints:
         assert health["graph_nodes"] == web.graph.num_nodes
         assert health["graph_edges"] == web.graph.num_edges
         assert health["store"]["entries"] >= 0
+        assert health["solver_dtype"] == "float64"
 
     def test_rank_bit_identical_to_offline(self, client, web):
         """The served scores ARE the offline ApproxRank scores.

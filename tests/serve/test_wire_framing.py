@@ -1,8 +1,10 @@
 """Request framing on the wire, for a RankingServer and a ShardRouter.
 
 A ``Content-Length`` that is not plain decimal digits leaves the body's
-extent unknown: the server must answer 400 and close that connection,
-and keep serving everyone else bit-identically.  The query string comes
+extent unknown, and so does a request or header line longer than the
+stream reader's limit or a header block longer than the header-line
+cap: the server must answer 400 and close that connection, and keep
+serving everyone else bit-identically.  The query string comes
 only from the request target, never from a client header.
 """
 
@@ -130,3 +132,40 @@ def test_query_header_from_client_is_ignored(address, offline):
     assert "estimator" not in answer
     assert "estimated" not in answer
     assert answer["stale"] is False
+
+
+@pytest.mark.parametrize(
+    "head, error",
+    [
+        # One line past asyncio's 64 KiB StreamReader limit.
+        (
+            "GET /healthz?pad=" + "a" * (70 * 1024) + " HTTP/1.1\r\n\r\n",
+            "request line too long",
+        ),
+        (
+            "GET /healthz HTTP/1.1\r\n"
+            "X-Pad: " + "a" * (70 * 1024) + "\r\n\r\n",
+            "header line too long",
+        ),
+        (
+            "GET /healthz HTTP/1.1\r\n"
+            + "".join(f"X-H{i}: v\r\n" for i in range(150))
+            + "\r\n",
+            "too many header lines",
+        ),
+    ],
+    ids=["long-request-line", "long-header-line", "many-headers"],
+)
+def test_oversized_head_is_400_then_serving_continues(
+    address, offline, head, error
+):
+    before = _unknown_400s(address)
+    status, headers, body = _exchange(address, head.encode("latin-1"))
+    assert status == 400
+    assert headers["connection"] == "close"
+    assert json.loads(body)["error"] == error
+    assert _unknown_400s(address) == before + 1
+
+    wire = RankingClient(*address).rank_scores(NODES)
+    assert np.array_equal(wire.scores, offline.scores)
+    assert not wire.extras.get("stale")

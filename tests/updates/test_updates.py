@@ -372,21 +372,21 @@ class TestWarmStartAndStaleness:
         assert result.delta_e_bound == 0.0
         assert result.warm_start is False
         assert result.iterations_saved == 0
-        assert result.backend == ""
+        assert result.dtype == ""
 
     def test_float32_backend_widens_charge_and_is_recorded(self):
         graph, updated, delta, old_truth = self._setup(seed=29)
         settings = PowerIterationSettings(tolerance=1e-6)
         wide = incremental_rerank(
             graph, updated, old_truth.scores, delta=delta,
-            settings=settings, backend="reference",
+            settings=settings, dtype="float64",
         )
         narrow = incremental_rerank(
             graph, updated, old_truth.scores, delta=delta,
-            settings=settings, backend="reference:float32",
+            settings=settings, dtype="float32",
         )
-        assert wide.backend == "reference/float64"
-        assert narrow.backend == "reference/float32"
+        assert wide.dtype == "float64"
+        assert narrow.dtype == "float32"
         # The float32 path must carry the documented roundoff clamp on
         # top of the shared perturbation + truncation terms.
         assert narrow.staleness_charge > wide.staleness_charge
